@@ -6,9 +6,8 @@
 #include "common/math.h"
 #include "core/interval.h"
 #include "sim/wire_schema.h"
-#include "obs/journal.h"
-#include "obs/progress.h"
 #include "obs/provenance.h"
+#include "obs/run_observers.h"
 #include "obs/telemetry.h"
 #include "sim/engine.h"
 
@@ -178,37 +177,25 @@ ChtRunResult run_cht_renaming(const SystemConfig& cfg,
                               obs::Provenance* provenance) {
   const std::uint64_t budget =
       adversary != nullptr ? adversary->budget() : 0;
-  if (telemetry != nullptr) {
-    telemetry->map_kind(kStatus, obs::PhaseId::kBaselineExchange);
-    telemetry->set_run_info("cht", cfg.n, budget);
-  }
-  if (journal != nullptr) journal->set_run_info("cht", cfg.n, budget);
-  if (progress != nullptr) progress->set_run_info("cht");
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info("cht", cfg.n, budget);
-    prov->begin_run(cfg.n);
-  }
+  const obs::RunObservers observers(telemetry, journal, progress, provenance);
+  observers.start("cht", cfg.n, budget);
   // A zero-budget adversary cannot crash anyone (the engine enforces the
   // budget), so the run is failure-free and the closed form is exact. A
   // journal needs real deliveries for its fingerprints, a provenance
   // recorder real decision events; n < 2 runs end before round 1 (all
   // nodes start done) — all of these always simulate.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
-      budget == 0 && journal == nullptr && prov == nullptr) {
-    return closed_form_cht(cfg, telemetry);
+      budget == 0 && observers.journal == nullptr &&
+      observers.provenance == nullptr) {
+    return closed_form_cht(cfg, observers.telemetry);
   }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
-    nodes.push_back(std::make_unique<ChtNode>(v, cfg, prov));
+    nodes.push_back(std::make_unique<ChtNode>(v, cfg, observers.provenance));
   }
   sim::Engine engine(std::move(nodes), std::move(adversary));
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  observers.attach(engine, plan);
 
   ChtRunResult result;
   result.stats = engine.run(ceil_log2(cfg.n) == 0 ? 1 : ceil_log2(cfg.n));

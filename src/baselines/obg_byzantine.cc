@@ -9,9 +9,8 @@
 #include "common/prng.h"
 #include "core/directory.h"
 #include "core/interval.h"
-#include "obs/journal.h"
-#include "obs/progress.h"
 #include "obs/provenance.h"
+#include "obs/run_observers.h"
 #include "obs/telemetry.h"
 #include "sim/engine.h"
 #include "sim/wire_schema.h"
@@ -273,29 +272,19 @@ ObgRunResult run_obg_renaming(const SystemConfig& cfg,
                               NodeIndex closed_form_cutoff,
                               obs::Progress* progress,
                               obs::Provenance* provenance) {
-  if (telemetry != nullptr) {
-    telemetry->map_kind(kAnnounce, obs::PhaseId::kBaselineExchange);
-    telemetry->map_kind(kVector, obs::PhaseId::kBaselineExchange);
-    telemetry->map_kind(kHalving, obs::PhaseId::kBaselineExchange);
-    telemetry->set_run_info("obg", cfg.n, byzantine.size());
-  }
-  if (journal != nullptr) {
-    journal->set_run_info("obg", cfg.n, byzantine.size());
-  }
-  if (progress != nullptr) progress->set_run_info("obg");
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info("obg", cfg.n, byzantine.size());
-    prov->begin_run(cfg.n);
-    for (NodeIndex b : byzantine) prov->mark_faulty(b);
+  const obs::RunObservers observers(telemetry, journal, progress, provenance);
+  observers.start("obg", cfg.n, byzantine.size());
+  if (observers.provenance != nullptr) {
+    for (NodeIndex b : byzantine) observers.provenance->mark_faulty(b);
   }
   // No Byzantine nodes means a fully deterministic all-to-all exchange the
   // closed form reproduces exactly; any adversary, a journal (fingerprints
   // need real deliveries), a provenance recorder (causal events need real
   // decisions), or n < 2 (round-count edge cases) simulates.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
-      byzantine.empty() && journal == nullptr && prov == nullptr) {
-    return closed_form_obg(cfg, telemetry);
+      byzantine.empty() && observers.journal == nullptr &&
+      observers.provenance == nullptr) {
+    return closed_form_obg(cfg, observers.telemetry);
   }
   const Directory directory(cfg);
   std::vector<bool> is_byz(cfg.n, false);
@@ -308,15 +297,12 @@ ObgRunResult run_obg_renaming(const SystemConfig& cfg,
       nodes.push_back(std::make_unique<ObgByzNode>(v, cfg, directory,
                                                    behaviour, cfg.seed));
     } else {
-      nodes.push_back(std::make_unique<ObgNode>(v, cfg, directory, prov));
+      nodes.push_back(std::make_unique<ObgNode>(v, cfg, directory,
+                                                observers.provenance));
     }
   }
   sim::Engine engine(std::move(nodes));
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  observers.attach(engine, plan);
   for (NodeIndex b : byzantine) engine.mark_byzantine(b);
 
   ObgRunResult result;

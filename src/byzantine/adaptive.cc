@@ -1,8 +1,7 @@
 #include "byzantine/adaptive.h"
 
-#include "obs/journal.h"
-#include "obs/progress.h"
 #include "obs/provenance.h"
+#include "obs/run_observers.h"
 #include "obs/telemetry.h"
 #include "sim/engine.h"
 
@@ -26,29 +25,18 @@ AdaptiveRunResult run_adaptive_experiment(const SystemConfig& cfg,
   AdaptiveController controller(budget);
   const auto coeff_cache = hashing::make_coefficient_cache(params.shared_seed);
 
-  if (telemetry != nullptr) {
-    register_byz_phases(*telemetry);
-    telemetry->set_run_info("byz-adaptive", cfg.n, budget);
-  }
-  if (journal != nullptr) journal->set_run_info("byz-adaptive", cfg.n, budget);
-  if (progress != nullptr) progress->set_run_info("byz-adaptive");
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info("byz-adaptive", cfg.n, budget);
-    prov->begin_run(cfg.n);  // before nodes: ctors may record events
-  }
+  const obs::RunObservers observers(telemetry, journal, progress, provenance);
+  observers.start("byz-adaptive", cfg.n, budget);
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
     nodes.push_back(std::make_unique<TurncoatNode>(
-        v, cfg, directory, params, controller, coeff_cache, telemetry, prov));
+        v, cfg, directory, params, controller, coeff_cache,
+        observers.telemetry, observers.provenance));
   }
   sim::Engine engine(std::move(nodes));
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
+  observers.attach(engine, /*plan=*/{});  // always serial, see above
 
   if (max_rounds == 0) {
     // A wrecked run never terminates on its own; keep the cap modest so
@@ -59,9 +47,11 @@ AdaptiveRunResult run_adaptive_experiment(const SystemConfig& cfg,
   AdaptiveRunResult result;
   result.stats = engine.run(max_rounds);
   result.corrupted = controller.spent();
-  if (prov != nullptr) {
+  if (observers.provenance != nullptr) {
     // The adaptive adversary's picks are only known after the run.
-    for (NodeIndex b : controller.corrupted()) prov->mark_faulty(b);
+    for (NodeIndex b : controller.corrupted()) {
+      observers.provenance->mark_faulty(b);
+    }
   }
 
   std::vector<NodeOutcome> outcomes;

@@ -5,9 +5,8 @@
 #include <memory>
 
 #include "common/check.h"
-#include "obs/journal.h"
-#include "obs/progress.h"
 #include "obs/provenance.h"
+#include "obs/run_observers.h"
 #include "obs/telemetry.h"
 #include "sim/engine.h"
 
@@ -54,17 +53,6 @@ obs::PhaseId ByzNode::phase_of(Stage stage) {
     case Stage::kDone:          return obs::PhaseId::kAwaitName;
   }
   return obs::PhaseId::kUnattributed;
-}
-
-void register_byz_phases(obs::Telemetry& telemetry) {
-  telemetry.map_kind(kind_of(Tag::kElect), obs::PhaseId::kCommitteeElection);
-  telemetry.map_kind(kind_of(Tag::kIdReport),
-                     obs::PhaseId::kIdentityAggregation);
-  telemetry.map_kind(kind_of(Tag::kValidator), consensus::Validator::kPhase);
-  telemetry.map_kind(kind_of(Tag::kConsensus), consensus::PhaseKing::kPhase);
-  telemetry.map_kind(kind_of(Tag::kDiff), obs::PhaseId::kDiffExchange);
-  telemetry.map_kind(kind_of(Tag::kNew), obs::PhaseId::kDistribution);
-  telemetry.map_kind(kind_of(Tag::kVector), obs::PhaseId::kFullVectorExchange);
 }
 
 std::uint32_t ByzNode::fingerprint_bits() const {
@@ -472,26 +460,11 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
   std::vector<bool> is_byz(cfg.n, false);
   for (NodeIndex b : byzantine) is_byz[b] = true;
 
-  if (telemetry != nullptr) {
-    register_byz_phases(*telemetry);
-    telemetry->set_run_info(params.use_fingerprints ? "byz" : "byz-full",
-                            cfg.n, byzantine.size());
-  }
-  if (journal != nullptr) {
-    journal->set_run_info(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
-                          byzantine.size());
-  }
-  if (progress != nullptr) {
-    progress->set_run_info(params.use_fingerprints ? "byz" : "byz-full");
-  }
-  // Folded like Telemetry: under RENAMING_NO_TELEMETRY every provenance
-  // hook below is statically dead.
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
-                       byzantine.size());
-    prov->begin_run(cfg.n);  // before nodes: ctors may record events
-    for (NodeIndex b : byzantine) prov->mark_faulty(b);
+  const obs::RunObservers observers(telemetry, journal, progress, provenance);
+  observers.start(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
+                  byzantine.size());
+  if (observers.provenance != nullptr) {
+    for (NodeIndex b : byzantine) observers.provenance->mark_faulty(b);
   }
 
   // One coefficient cache for the whole run: every correct node holds the
@@ -517,18 +490,14 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
     if (is_byz[v] && factory != nullptr) {
       nodes.push_back(factory(v, cfg, directory, params));
     } else {
-      nodes.push_back(std::make_unique<ByzNode>(v, cfg, directory, params,
-                                                coeff_cache, telemetry,
-                                                interner, prov));
+      nodes.push_back(std::make_unique<ByzNode>(
+          v, cfg, directory, params, coeff_cache, observers.telemetry,
+          interner, observers.provenance));
     }
   }
   sim::Engine engine(std::move(nodes));
   engine.set_trace(trace);
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  observers.attach(engine, plan);
   for (NodeIndex b : byzantine) engine.mark_byzantine(b);
 
   if (max_rounds == 0) {
@@ -556,8 +525,8 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
         result.loop_iterations =
             std::max(result.loop_iterations, node->loop_iterations());
       }
-      if (telemetry != nullptr && node->elected()) {
-        telemetry->label_node(v, "committee");
+      if (observers.telemetry != nullptr && node->elected()) {
+        observers.telemetry->label_node(v, "committee");
       }
     }
     result.outcomes.push_back(o);

@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 
+#include "obs/codec.h"
 #include "sim/message_names.h"
 
 namespace renaming::obs {
@@ -66,9 +67,7 @@ void Journal::on_round_end(Round round) {
   if (open_.max_message_bits > data_.max_message_bits) {
     data_.max_message_bits = open_.max_message_bits;
   }
-  data_.records.push_back(std::move(open_));
-  if (capacity_ > 0 && data_.records.size() > capacity_) {
-    data_.records.erase(data_.records.begin());
+  if (ring_.push_back(data_.records, std::move(open_))) {
     ++data_.dropped_rounds;
   }
   open_ = JournalRound{};
@@ -76,71 +75,15 @@ void Journal::on_round_end(Round round) {
 
 // --- binary format ----------------------------------------------------------
 //
-// "RNMJ" magic, u32 version, then fixed-width little-endian fields in the
-// exact order of the struct definitions. The writer never emits padding and
-// the reader never trusts a length without stream checks, so a truncated or
-// corrupted file fails cleanly instead of aborting.
+// "RNMJ" v1 in the obs/codec.h conventions: fixed-width little-endian
+// fields in the exact order of the struct definitions.
 
-namespace {
-
-constexpr char kMagic[4] = {'R', 'N', 'M', 'J'};
-constexpr std::uint32_t kVersion = 1;
-
-void put_bytes(std::ostream& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, v, 8); }
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, v, 4); }
-void put_u16(std::ostream& out, std::uint16_t v) { put_bytes(out, v, 2); }
-void put_u8(std::ostream& out, std::uint8_t v) { put_bytes(out, v, 1); }
-
-bool get_bytes(std::istream& in, std::uint64_t* v, int bytes) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < bytes; ++i) {
-    const int ch = in.get();
-    if (ch < 0) return false;
-    out |= static_cast<std::uint64_t>(ch & 0xff) << (8 * i);
-  }
-  *v = out;
-  return true;
-}
-bool get_u64(std::istream& in, std::uint64_t* v) {
-  return get_bytes(in, v, 8);
-}
-bool get_u32(std::istream& in, std::uint32_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 4)) return false;
-  *v = static_cast<std::uint32_t>(tmp);
-  return true;
-}
-bool get_u16(std::istream& in, std::uint16_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 2)) return false;
-  *v = static_cast<std::uint16_t>(tmp);
-  return true;
-}
-bool get_u8(std::istream& in, std::uint8_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 1)) return false;
-  *v = static_cast<std::uint8_t>(tmp);
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
-}  // namespace
+constexpr CodecFormat kJournalFormat = {
+    {'R', 'N', 'M', 'J'}, 1, "not a renaming journal (bad magic)",
+    "unsupported journal version"};
 
 void write_journal_binary(std::ostream& out, const JournalData& data) {
-  out.write(kMagic, 4);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(data.algorithm.size()));
-  out.write(data.algorithm.data(),
-            static_cast<std::streamsize>(data.algorithm.size()));
+  write_header(out, kJournalFormat, data.algorithm);
   put_u64(out, data.n);
   put_u64(out, data.f);
   put_u64(out, data.total_messages);
@@ -175,33 +118,15 @@ void write_journal_binary(std::ostream& out, const JournalData& data) {
 
 bool read_journal_binary(std::istream& in, JournalData* data,
                          std::string* error) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() != 4 || magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-      magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    return fail(error, "not a renaming journal (bad magic)");
-  }
-  std::uint32_t version = 0;
-  if (!get_u32(in, &version)) return fail(error, "truncated header");
-  if (version != kVersion) {
-    return fail(error, "unsupported journal version");
-  }
   JournalData out;
-  std::uint32_t algo_len = 0;
-  if (!get_u32(in, &algo_len)) return fail(error, "truncated header");
-  if (algo_len > 4096) return fail(error, "implausible algorithm name");
-  out.algorithm.resize(algo_len);
-  in.read(out.algorithm.data(), algo_len);
-  if (in.gcount() != static_cast<std::streamsize>(algo_len)) {
-    return fail(error, "truncated header");
-  }
+  if (!read_header(in, kJournalFormat, &out.algorithm, error)) return false;
   std::uint64_t record_count = 0;
-  if (!get_u64(in, &out.n) || !get_u64(in, &out.f) ||
-      !get_u64(in, &out.total_messages) || !get_u64(in, &out.total_bits) ||
-      !get_u64(in, &out.rounds) || !get_u64(in, &out.crashes) ||
-      !get_u64(in, &out.spoofs_rejected) ||
-      !get_u32(in, &out.max_message_bits) ||
-      !get_u64(in, &out.dropped_rounds) || !get_u64(in, &record_count)) {
+  if (!get_bytes(in, &out.n) || !get_bytes(in, &out.f) ||
+      !get_bytes(in, &out.total_messages) || !get_bytes(in, &out.total_bits) ||
+      !get_bytes(in, &out.rounds) || !get_bytes(in, &out.crashes) ||
+      !get_bytes(in, &out.spoofs_rejected) ||
+      !get_bytes(in, &out.max_message_bits) ||
+      !get_bytes(in, &out.dropped_rounds) || !get_bytes(in, &record_count)) {
     return fail(error, "truncated header");
   }
   // Grow incrementally: a corrupt count must not turn into an allocation.
@@ -210,27 +135,27 @@ bool read_journal_binary(std::istream& in, JournalData* data,
     std::uint64_t round64 = 0;
     std::uint32_t kind_count = 0;
     std::uint32_t event_count = 0;
-    if (!get_u64(in, &round64) || !get_u64(in, &r.fingerprint) ||
-        !get_u64(in, &r.messages) || !get_u64(in, &r.bits) ||
-        !get_u32(in, &r.max_message_bits) ||
-        !get_u32(in, &r.active_senders) || !get_u32(in, &kind_count)) {
+    if (!get_bytes(in, &round64) || !get_bytes(in, &r.fingerprint) ||
+        !get_bytes(in, &r.messages) || !get_bytes(in, &r.bits) ||
+        !get_bytes(in, &r.max_message_bits) ||
+        !get_bytes(in, &r.active_senders) || !get_bytes(in, &kind_count)) {
       return fail(error, "truncated record");
     }
     r.round = static_cast<Round>(round64);
     for (std::uint32_t k = 0; k < kind_count; ++k) {
       JournalKindCount kc;
-      if (!get_u16(in, &kc.kind) || !get_u64(in, &kc.messages) ||
-          !get_u64(in, &kc.bits)) {
+      if (!get_bytes(in, &kc.kind) || !get_bytes(in, &kc.messages) ||
+          !get_bytes(in, &kc.bits)) {
         return fail(error, "truncated kind table");
       }
       r.kinds.push_back(kc);
     }
-    if (!get_u32(in, &event_count)) return fail(error, "truncated record");
+    if (!get_bytes(in, &event_count)) return fail(error, "truncated record");
     for (std::uint32_t e = 0; e < event_count; ++e) {
       std::uint8_t ekind = 0;
       JournalEvent ev;
-      if (!get_u8(in, &ekind) || !get_u32(in, &ev.node) ||
-          !get_u16(in, &ev.msg_kind)) {
+      if (!get_bytes(in, &ekind) || !get_bytes(in, &ev.node) ||
+          !get_bytes(in, &ev.msg_kind)) {
         return fail(error, "truncated event table");
       }
       if (ekind > 1) return fail(error, "unknown event kind");

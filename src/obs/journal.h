@@ -35,6 +35,7 @@
 
 #include "common/types.h"
 #include "hashing/digest.h"
+#include "obs/ring.h"
 #include "sim/message.h"
 
 namespace renaming::obs {
@@ -106,7 +107,7 @@ class Journal {
  public:
   /// `capacity` == 0 keeps every round; K > 0 keeps the last K records
   /// (flight-recorder ring), with run totals still spanning the whole run.
-  explicit Journal(std::size_t capacity = 0) : capacity_(capacity) {}
+  explicit Journal(std::size_t capacity = 0) { ring_.set_capacity(capacity); }
 
   // --- setup (cold path; called by run_* entry points) -------------------
   void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f) {
@@ -156,8 +157,13 @@ class Journal {
   void end_run(Round last_round) { data_.rounds = last_round; }
 
   // --- introspection / export --------------------------------------------
-  const JournalData& data() const { return data_; }
-  std::size_t capacity() const { return capacity_; }
+  /// Records oldest to newest: a wrapped ring is unrotated here, once per
+  /// read, never per round.
+  const JournalData& data() const {
+    ring_.unrotate(data_.records);
+    return data_;
+  }
+  std::size_t capacity() const { return ring_.capacity(); }
 
  private:
   // Destination descriptors folded into the fingerprint. Distinct from any
@@ -169,8 +175,8 @@ class Journal {
                  std::uint64_t copies);
   JournalKindCount& kind_slot(sim::MsgKind kind);
 
-  std::size_t capacity_;
-  JournalData data_;
+  mutable RoundRing<JournalRound> ring_;  // over data_.records
+  mutable JournalData data_;
   JournalRound open_;            // record under construction
   hashing::RollingDigest digest_;
 };

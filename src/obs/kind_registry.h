@@ -5,9 +5,9 @@
 // traffic identically whether or not telemetry is attached (its bytes are
 // pinned byte-identical across telemetry configs), and the doctor
 // (obs/doctor.h) re-derives phase ledgers from journals written by other
-// processes. This header is the single source of truth; the per-protocol
-// register_*_phases functions load the same values into Telemetry, and
-// tests/obs_journal_test.cc pins that they agree.
+// processes. This header is the single source of truth: every run_* entry
+// point loads it into its live Telemetry (obs/run_observers.h), and
+// tests/obs_journal_test.cc pins that journal and telemetry ledgers agree.
 //
 // Exhaustiveness guard: kShippedKinds lists every wire kind a shipped
 // protocol emits. The static_asserts below fail the build if any of them
@@ -26,8 +26,7 @@
 
 namespace renaming::obs {
 
-/// Canonical phase attribution for `kind`. Mirrors (and is pinned against)
-/// the register_*_phases registrations; unknown kinds — bench-local or
+/// Canonical phase attribution for `kind`. Unknown kinds — bench-local or
 /// adversarial — fall to kUnattributed, exactly as an unregistered kind
 /// does in Telemetry.
 constexpr PhaseId canonical_phase(sim::MsgKind kind) {

@@ -25,14 +25,12 @@ Progress::Progress() : Progress(Options{}) {}
 
 Progress::Progress(Options opts) : opts_(opts) {
   if (opts_.every_rounds == 0) opts_.every_rounds = 1;
-  if (opts_.ring_capacity > 0) ring_.reserve(opts_.ring_capacity);
+  ring_.set_capacity(opts_.ring_capacity);
 }
 
 void Progress::begin_run(NodeIndex n) {
   n_ = n;
   ring_.clear();
-  head_ = 0;
-  ring_dropped_ = 0;
   sampled_ = 0;
   last_sampled_round_ = 0;
   last_messages_ = 0;
@@ -83,13 +81,7 @@ void Progress::sample(Round round, std::uint64_t messages, std::uint64_t bits,
                        static_cast<double>(s.wall_ns);
   }
 
-  if (opts_.ring_capacity == 0 || ring_.size() < opts_.ring_capacity) {
-    ring_.push_back(s);
-  } else {
-    ring_[head_] = s;
-    head_ = (head_ + 1) % opts_.ring_capacity;
-    ++ring_dropped_;
-  }
+  ring_.push_back(s);
   ++sampled_;
   last_sampled_round_ = round;
   last_sample_ns_ = now;
@@ -115,15 +107,6 @@ void Progress::end_run(Round last_round) {
            << ",\"peak_rss_bytes\":" << peak_rss_bytes() << "}\n";
     sink_->flush();
   }
-}
-
-std::vector<ProgressSnapshot> Progress::snapshots() const {
-  std::vector<ProgressSnapshot> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
 }
 
 void Progress::write_record(std::ostream& out, const ProgressSnapshot& s,

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/ring.h"
 
 namespace renaming::obs {
 
@@ -91,10 +92,10 @@ class Progress {
 
   // --- introspection / export --------------------------------------------
   /// Ring contents, oldest to newest.
-  std::vector<ProgressSnapshot> snapshots() const;
+  std::vector<ProgressSnapshot> snapshots() const { return ring_.snapshot(); }
   std::uint64_t sampled() const { return sampled_; }
   /// Snapshots evicted from the ring (the sink saw them anyway).
-  std::uint64_t ring_dropped() const { return ring_dropped_; }
+  std::uint64_t ring_dropped() const { return ring_.dropped(); }
   const std::string& algorithm() const { return algorithm_; }
   std::uint64_t n() const { return n_; }
 
@@ -115,11 +116,7 @@ class Progress {
   std::string algorithm_;
   std::uint64_t n_ = 0;
 
-  // Ring storage: plain vector until capacity, then modular overwrite —
-  // head_ points at the oldest entry once full.
-  std::vector<ProgressSnapshot> ring_;
-  std::size_t head_ = 0;
-  std::uint64_t ring_dropped_ = 0;
+  RoundRing<ProgressSnapshot> ring_;
 
   std::uint64_t sampled_ = 0;
   Round last_sampled_round_ = 0;

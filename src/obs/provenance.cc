@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 
+#include "obs/codec.h"
 #include "sim/message_names.h"
 
 namespace renaming::obs {
@@ -201,71 +202,15 @@ ProvenanceData Provenance::data() const {
 
 // --- binary format ----------------------------------------------------------
 //
-// "RNPV" magic, u32 version, then fixed-width little-endian fields in the
-// exact order of the struct definitions — same discipline as the journal's
-// RNMJ v1: no padding, every length stream-checked, incremental growth on
-// read so a corrupt count cannot become an allocation.
+// "RNPV" v1 in the obs/codec.h conventions: fixed-width little-endian
+// fields in the exact order of the struct definitions.
 
-namespace {
-
-constexpr char kMagic[4] = {'R', 'N', 'P', 'V'};
-constexpr std::uint32_t kVersion = 1;
-
-void put_bytes(std::ostream& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, v, 8); }
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, v, 4); }
-void put_u16(std::ostream& out, std::uint16_t v) { put_bytes(out, v, 2); }
-void put_u8(std::ostream& out, std::uint8_t v) { put_bytes(out, v, 1); }
-
-bool get_bytes(std::istream& in, std::uint64_t* v, int bytes) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < bytes; ++i) {
-    const int ch = in.get();
-    if (ch < 0) return false;
-    out |= static_cast<std::uint64_t>(ch & 0xff) << (8 * i);
-  }
-  *v = out;
-  return true;
-}
-bool get_u64(std::istream& in, std::uint64_t* v) {
-  return get_bytes(in, v, 8);
-}
-bool get_u32(std::istream& in, std::uint32_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 4)) return false;
-  *v = static_cast<std::uint32_t>(tmp);
-  return true;
-}
-bool get_u16(std::istream& in, std::uint16_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 2)) return false;
-  *v = static_cast<std::uint16_t>(tmp);
-  return true;
-}
-bool get_u8(std::istream& in, std::uint8_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 1)) return false;
-  *v = static_cast<std::uint8_t>(tmp);
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
-}  // namespace
+constexpr CodecFormat kProvenanceFormat = {
+    {'R', 'N', 'P', 'V'}, 1, "not a renaming provenance file (bad magic)",
+    "unsupported provenance version"};
 
 void write_provenance_binary(std::ostream& out, const ProvenanceData& data) {
-  out.write(kMagic, 4);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(data.algorithm.size()));
-  out.write(data.algorithm.data(),
-            static_cast<std::streamsize>(data.algorithm.size()));
+  write_header(out, kProvenanceFormat, data.algorithm);
   put_u64(out, data.n);
   put_u64(out, data.f);
   put_u32(out, data.rounds);
@@ -301,58 +246,42 @@ void write_provenance_binary(std::ostream& out, const ProvenanceData& data) {
 
 bool read_provenance_binary(std::istream& in, ProvenanceData* data,
                             std::string* error) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() != 4 || magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-      magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    return fail(error, "not a renaming provenance file (bad magic)");
-  }
-  std::uint32_t version = 0;
-  if (!get_u32(in, &version)) return fail(error, "truncated header");
-  if (version != kVersion) {
-    return fail(error, "unsupported provenance version");
-  }
   ProvenanceData out;
-  std::uint32_t algo_len = 0;
-  if (!get_u32(in, &algo_len)) return fail(error, "truncated header");
-  if (algo_len > 4096) return fail(error, "implausible algorithm name");
-  out.algorithm.resize(algo_len);
-  in.read(out.algorithm.data(), algo_len);
-  if (in.gcount() != static_cast<std::streamsize>(algo_len)) {
-    return fail(error, "truncated header");
+  if (!read_header(in, kProvenanceFormat, &out.algorithm, error)) {
+    return false;
   }
   std::uint32_t watch_count = 0;
   std::uint32_t faulty_count = 0;
   std::uint64_t event_count = 0;
-  if (!get_u64(in, &out.n) || !get_u64(in, &out.f) ||
-      !get_u32(in, &out.rounds) || !get_u8(in, &out.watch_mode) ||
-      !get_u32(in, &out.watch_stride) || !get_u64(in, &out.horizon) ||
-      !get_u64(in, &out.recorded_events) ||
-      !get_u64(in, &out.dropped_events) || !get_u32(in, &watch_count)) {
+  if (!get_bytes(in, &out.n) || !get_bytes(in, &out.f) ||
+      !get_bytes(in, &out.rounds) || !get_bytes(in, &out.watch_mode) ||
+      !get_bytes(in, &out.watch_stride) || !get_bytes(in, &out.horizon) ||
+      !get_bytes(in, &out.recorded_events) ||
+      !get_bytes(in, &out.dropped_events) || !get_bytes(in, &watch_count)) {
     return fail(error, "truncated header");
   }
   if (out.watch_mode > 2) return fail(error, "unknown watch mode");
   // Grow incrementally: a corrupt count must not turn into an allocation.
   for (std::uint32_t i = 0; i < watch_count; ++i) {
     std::uint32_t v = 0;
-    if (!get_u32(in, &v)) return fail(error, "truncated watch list");
+    if (!get_bytes(in, &v)) return fail(error, "truncated watch list");
     out.watch_nodes.push_back(v);
   }
-  if (!get_u32(in, &faulty_count)) return fail(error, "truncated header");
+  if (!get_bytes(in, &faulty_count)) return fail(error, "truncated header");
   for (std::uint32_t i = 0; i < faulty_count; ++i) {
     std::uint32_t v = 0;
-    if (!get_u32(in, &v)) return fail(error, "truncated faulty list");
+    if (!get_bytes(in, &v)) return fail(error, "truncated faulty list");
     out.faulty.push_back(v);
   }
-  if (!get_u64(in, &event_count)) return fail(error, "truncated header");
+  if (!get_bytes(in, &event_count)) return fail(error, "truncated header");
   for (std::uint64_t i = 0; i < event_count; ++i) {
     ProvEvent e;
     std::uint8_t kind = 0;
-    if (!get_u64(in, &e.id) || !get_u32(in, &e.round) ||
-        !get_u32(in, &e.node) || !get_u32(in, &e.subject) ||
-        !get_u8(in, &kind) || !get_u16(in, &e.msg_kind) ||
-        !get_u64(in, &e.a) || !get_u64(in, &e.b) ||
-        !get_u16(in, &e.causes_dropped) || !get_u8(in, &e.cause_count)) {
+    if (!get_bytes(in, &e.id) || !get_bytes(in, &e.round) ||
+        !get_bytes(in, &e.node) || !get_bytes(in, &e.subject) ||
+        !get_bytes(in, &kind) || !get_bytes(in, &e.msg_kind) ||
+        !get_bytes(in, &e.a) || !get_bytes(in, &e.b) ||
+        !get_bytes(in, &e.causes_dropped) || !get_bytes(in, &e.cause_count)) {
       return fail(error, "truncated event record");
     }
     if (kind >= kProvEventKindCount) return fail(error, "unknown event kind");
@@ -361,10 +290,10 @@ bool read_provenance_binary(std::istream& in, ProvenanceData* data,
     }
     e.kind = static_cast<ProvEventKind>(kind);
     for (std::uint8_t c = 0; c < e.cause_count; ++c) {
-      if (!get_u32(in, &e.causes[c].sender) ||
-          !get_u16(in, &e.causes[c].msg_kind) ||
-          !get_u32(in, &e.causes[c].bits) ||
-          !get_u64(in, &e.causes[c].event)) {
+      if (!get_bytes(in, &e.causes[c].sender) ||
+          !get_bytes(in, &e.causes[c].msg_kind) ||
+          !get_bytes(in, &e.causes[c].bits) ||
+          !get_bytes(in, &e.causes[c].event)) {
         return fail(error, "truncated cause record");
       }
     }

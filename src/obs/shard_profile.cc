@@ -4,6 +4,8 @@
 #include <istream>
 #include <ostream>
 
+#include "obs/codec.h"
+
 namespace renaming::obs {
 
 const char* shard_phase_name(ShardPhase p) {
@@ -70,12 +72,15 @@ std::uint32_t straggler_shard(const ShardProfileData& data) {
 
 ShardProfile::ShardProfile() : ShardProfile(Options{}) {}
 
-ShardProfile::ShardProfile(Options opts) : opts_(opts) {}
+ShardProfile::ShardProfile(Options opts) {
+  ring_.set_capacity(opts.ring_capacity);
+}
 
 void ShardProfile::begin_run(NodeIndex n, unsigned shards) {
   if (shards == 0) shards = 1;
   const std::string algorithm = std::move(data_.algorithm);
   data_ = ShardProfileData{};
+  ring_.clear();
   data_.algorithm = algorithm;
   data_.n = n;
   data_.shards = shards;
@@ -109,68 +114,22 @@ void ShardProfile::note_shard(ShardPhase p, unsigned shard,
 
 void ShardProfile::on_round_end(Round round) {
   open_.round = round;
-  // The journal's ring policy: samples stay ordered oldest to newest, so
-  // the binary format and the doctor's report never need to unrotate.
-  if (opts_.ring_capacity > 0 && data_.samples.size() >= opts_.ring_capacity) {
-    data_.samples.erase(data_.samples.begin());
+  if (ring_.push_back(data_.samples, std::move(open_))) {
     ++data_.dropped_samples;
   }
-  data_.samples.push_back(std::move(open_));
   open_ = ShardRoundSample{};
 }
 
 // --- binary format ----------------------------------------------------------
 //
-// "RNSP" magic, u32 version, then fixed-width little-endian fields in
-// struct order — the same conventions as the journal format (journal.cc):
-// no padding, incremental growth on read, clean failure on truncation.
+// "RNSP" v1 in the obs/codec.h conventions: fixed-width little-endian
+// fields in struct order.
+
+constexpr CodecFormat kShardProfileFormat = {
+    {'R', 'N', 'S', 'P'}, 1, "not a shard profile (bad magic)",
+    "unsupported shard-profile version"};
 
 namespace {
-
-constexpr char kMagic[4] = {'R', 'N', 'S', 'P'};
-constexpr std::uint32_t kVersion = 1;
-
-void put_bytes(std::ostream& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, v, 8); }
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, v, 4); }
-void put_i64(std::ostream& out, std::int64_t v) {
-  put_bytes(out, static_cast<std::uint64_t>(v), 8);
-}
-
-bool get_bytes(std::istream& in, std::uint64_t* v, int bytes) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < bytes; ++i) {
-    const int ch = in.get();
-    if (ch < 0) return false;
-    out |= static_cast<std::uint64_t>(ch & 0xff) << (8 * i);
-  }
-  *v = out;
-  return true;
-}
-bool get_u64(std::istream& in, std::uint64_t* v) {
-  return get_bytes(in, v, 8);
-}
-bool get_u32(std::istream& in, std::uint32_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 4)) return false;
-  *v = static_cast<std::uint32_t>(tmp);
-  return true;
-}
-bool get_i64(std::istream& in, std::int64_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 8)) return false;
-  *v = static_cast<std::int64_t>(tmp);
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
 
 void append_ratio(std::string* out, double v) {
   // Two decimal places without <iostream> formatting state.
@@ -196,11 +155,7 @@ std::string format_ms(std::int64_t ns) {
 
 void write_shard_profile_binary(std::ostream& out,
                                 const ShardProfileData& data) {
-  out.write(kMagic, 4);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(data.algorithm.size()));
-  out.write(data.algorithm.data(),
-            static_cast<std::streamsize>(data.algorithm.size()));
+  write_header(out, kShardProfileFormat, data.algorithm);
   put_u64(out, data.n);
   put_u32(out, data.shards);
   put_u64(out, data.rounds);
@@ -222,28 +177,12 @@ void write_shard_profile_binary(std::ostream& out,
 
 bool read_shard_profile_binary(std::istream& in, ShardProfileData* data,
                                std::string* error) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() != 4 || magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-      magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    return fail(error, "not a shard profile (bad magic)");
-  }
-  std::uint32_t version = 0;
-  if (!get_u32(in, &version)) return fail(error, "truncated header");
-  if (version != kVersion) {
-    return fail(error, "unsupported shard-profile version");
-  }
   ShardProfileData out;
-  std::uint32_t algo_len = 0;
-  if (!get_u32(in, &algo_len)) return fail(error, "truncated header");
-  if (algo_len > 4096) return fail(error, "implausible algorithm name");
-  out.algorithm.resize(algo_len);
-  in.read(out.algorithm.data(), algo_len);
-  if (in.gcount() != static_cast<std::streamsize>(algo_len)) {
-    return fail(error, "truncated header");
+  if (!read_header(in, kShardProfileFormat, &out.algorithm, error)) {
+    return false;
   }
-  if (!get_u64(in, &out.n) || !get_u32(in, &out.shards) ||
-      !get_u64(in, &out.rounds) || !get_u64(in, &out.dropped_samples)) {
+  if (!get_bytes(in, &out.n) || !get_bytes(in, &out.shards) ||
+      !get_bytes(in, &out.rounds) || !get_bytes(in, &out.dropped_samples)) {
     return fail(error, "truncated header");
   }
   if (out.shards == 0 || out.shards > 65536) {
@@ -252,30 +191,30 @@ bool read_shard_profile_binary(std::istream& in, ShardProfileData* data,
   for (std::size_t p = 0; p < kShardPhaseCount; ++p) {
     for (std::uint32_t s = 0; s < out.shards; ++s) {
       ShardPhaseTotals t;
-      if (!get_i64(in, &t.busy_ns) || !get_i64(in, &t.wait_ns) ||
-          !get_u64(in, &t.rounds)) {
+      if (!get_bytes(in, &t.busy_ns) || !get_bytes(in, &t.wait_ns) ||
+          !get_bytes(in, &t.rounds)) {
         return fail(error, "truncated totals");
       }
       out.totals[p].push_back(t);
     }
   }
   std::uint64_t sample_count = 0;
-  if (!get_u64(in, &sample_count)) return fail(error, "truncated header");
+  if (!get_bytes(in, &sample_count)) return fail(error, "truncated header");
   const std::size_t lanes = kShardPhaseCount * out.shards;
   // Grow incrementally: a corrupt count must not turn into an allocation.
   for (std::uint64_t i = 0; i < sample_count; ++i) {
     ShardRoundSample s;
     std::uint64_t round64 = 0;
-    if (!get_u64(in, &round64)) return fail(error, "truncated sample");
+    if (!get_bytes(in, &round64)) return fail(error, "truncated sample");
     s.round = static_cast<Round>(round64);
     for (std::size_t l = 0; l < lanes; ++l) {
       std::int64_t v = 0;
-      if (!get_i64(in, &v)) return fail(error, "truncated sample");
+      if (!get_bytes(in, &v)) return fail(error, "truncated sample");
       s.busy_ns.push_back(v);
     }
     for (std::size_t l = 0; l < lanes; ++l) {
       std::int64_t v = 0;
-      if (!get_i64(in, &v)) return fail(error, "truncated sample");
+      if (!get_bytes(in, &v)) return fail(error, "truncated sample");
       s.wait_ns.push_back(v);
     }
     out.samples.push_back(std::move(s));

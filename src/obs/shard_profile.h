@@ -24,7 +24,8 @@
 // ran — one shard.
 //
 // Bounded memory: totals are O(shards); the per-round samples feeding the
-// Perfetto tracks live in a ring of the last `ring_capacity` rounds.
+// Perfetto tracks live in a ring (obs/ring.h) of the last `ring_capacity`
+// rounds.
 #pragma once
 
 #include <array>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/ring.h"
 
 namespace renaming::obs {
 
@@ -136,12 +138,17 @@ class ShardProfile {
   void end_run(Round last_round) { data_.rounds = last_round; }
 
   // --- introspection / export --------------------------------------------
-  const ShardProfileData& data() const { return data_; }
+  /// Samples oldest to newest: a wrapped ring is unrotated here, once per
+  /// read, never per round.
+  const ShardProfileData& data() const {
+    ring_.unrotate(data_.samples);
+    return data_;
+  }
   unsigned shards() const { return data_.shards; }
 
  private:
-  Options opts_;
-  ShardProfileData data_;
+  mutable RoundRing<ShardRoundSample> ring_;  // over data_.samples
+  mutable ShardProfileData data_;
   ShardRoundSample open_;  // sample under construction
 };
 

@@ -30,6 +30,7 @@
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
+#include "obs/ring.h"
 #include "sim/message.h"
 
 namespace renaming::obs {
@@ -45,47 +46,6 @@ inline constexpr bool kTelemetryEnabled = true;
 /// the determinism contract above); protocol and engine code must never
 /// call this.
 std::int64_t now_ns();
-
-/// Bounded per-round series: a plain vector until `capacity` entries, then
-/// modular overwrite keeping the most recent rounds — the same ring policy
-/// as the journal's record ring (obs/journal.h). Capacity 0 = unbounded
-/// (the historical behaviour, fine below the sparse cutoff; a million-node
-/// run at an unbounded series is how the per_round vectors used to grow
-/// without limit). Exporters must consult dropped() and say so.
-template <typename T>
-class RoundRing {
- public:
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::size_t size() const { return data_.size(); }
-
-  void push_back(T v) {
-    if (capacity_ == 0 || data_.size() < capacity_) {
-      data_.push_back(v);
-    } else {
-      data_[head_] = v;
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-    }
-  }
-
-  /// Ring contents oldest to newest; entry i is round dropped() + i + 1.
-  std::vector<T> snapshot() const {
-    std::vector<T> out;
-    out.reserve(data_.size());
-    for (std::size_t i = 0; i < data_.size(); ++i) {
-      out.push_back(data_[(head_ + i) % data_.size()]);
-    }
-    return out;
-  }
-
- private:
-  std::vector<T> data_;
-  std::size_t capacity_ = 0;
-  std::size_t head_ = 0;
-  std::uint64_t dropped_ = 0;
-};
 
 /// Double-entry ledger cell: everything charged to one phase.
 struct PhaseTotals {
@@ -135,8 +95,9 @@ class Telemetry {
   }
 
   /// Caps the per-round series (round wall time, active-sender counts) at
-  /// the last `capacity` rounds, the journal's flight-recorder ring policy
-  /// — run totals and histograms still span the whole run. 0 = unbounded.
+  /// the last `capacity` rounds (obs/ring.h, the journal's flight-recorder
+  /// policy) — run totals and histograms still span the whole run.
+  /// 0 = unbounded.
   /// The CLI applies a default cap at or above the engine's sparse cutoff,
   /// where round counts (and thus the old unbounded vectors) get large.
   void set_per_round_capacity(std::size_t capacity) {

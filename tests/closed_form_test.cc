@@ -146,8 +146,13 @@ TEST(ClosedForm, JournalForcesSimulation) {
 TEST(ClosedForm, AuditGatesStillPass) {
   // The point of exact accounting: the Theorem 1.2/1.3-style budget
   // envelopes (obs/budget.h) audit closed-form runs just like simulated
-  // ones, per-kind wire-schema cross-checks included.
+  // ones, per-kind wire-schema cross-checks included. The per-phase and
+  // per-kind ledgers are compiled out under RENAMING_NO_TELEMETRY, like a
+  // simulated run's; that config audits the RunStats envelopes alone.
   const auto cfg = make_cfg(96, 10);
+  const auto ledgers = [](const obs::Telemetry& tel) {
+    return obs::kTelemetryEnabled ? &tel : nullptr;
+  };
   {
     obs::Telemetry tel;
     const auto r = run_cht_renaming(cfg, nullptr, &tel, nullptr, {},
@@ -158,7 +163,7 @@ TEST(ClosedForm, AuditGatesStillPass) {
     p.n = cfg.n;
     p.f = 0;
     p.namespace_size = cfg.namespace_size;
-    const auto report = obs::audit_run(p, r.stats, &tel);
+    const auto report = obs::audit_run(p, r.stats, ledgers(tel));
     EXPECT_TRUE(report.ok()) << report.summary();
   }
   {
@@ -172,7 +177,7 @@ TEST(ClosedForm, AuditGatesStillPass) {
     p.n = cfg.n;
     p.f = 0;
     p.namespace_size = cfg.namespace_size;
-    const auto report = obs::audit_run(p, r.stats, &tel);
+    const auto report = obs::audit_run(p, r.stats, ledgers(tel));
     EXPECT_TRUE(report.ok()) << report.summary();
   }
 }

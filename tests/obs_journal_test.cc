@@ -13,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "byzantine/byz_renaming.h"
@@ -122,22 +123,62 @@ TEST(Journal, DifferentSeedsProduceDifferentFingerprints) {
   EXPECT_NE(to_bytes(a), to_bytes(b));
 }
 
+/// What a ring of `capacity` records must hold: `full` cut to its last
+/// `capacity` records, with the evicted rounds counted as dropped.
+obs::JournalData last_records(obs::JournalData full, std::size_t capacity) {
+  full.dropped_rounds = full.records.size() - capacity;
+  full.records.erase(full.records.begin(), full.records.end() - capacity);
+  return full;
+}
+
+/// Feeds `journal` the synthetic rounds [from, to], one unicast each whose
+/// fields vary with the round, so every record is distinct.
+void feed_rounds(obs::Journal& journal, Round from, Round to) {
+  for (Round r = from; r <= to; ++r) {
+    sim::Message m;
+    m.sender = r % 7;
+    m.claimed_sender = m.sender;
+    m.kind = static_cast<sim::MsgKind>(1 + r % 3);
+    m.bits = 8 + r;
+    journal.on_round_begin(r);
+    journal.note_active_senders(r % 5);
+    journal.note_unicast(m, r % 11);
+    journal.on_round_end(r);
+  }
+}
+
 TEST(Journal, RingKeepsLastRecordsButFullTotals) {
+  constexpr std::size_t kCapacity = 5;
   sim::RunStats stats;
   const auto full = crash_journal(41, false, false, 0, &stats);
-  const auto ring = crash_journal(41, false, false, 5);
-  ASSERT_GT(full.records.size(), 5u);
-  EXPECT_EQ(ring.records.size(), 5u);
-  EXPECT_EQ(ring.dropped_rounds, full.records.size() - 5);
+  const auto ring = crash_journal(41, false, false, kCapacity);
+  // The ring wraps more than once and stops mid-lap, so data() has to
+  // unrotate it.
+  ASSERT_GT(full.records.size(), 2 * kCapacity);
+  ASSERT_NE(full.records.size() % kCapacity, 0u);
+  EXPECT_EQ(ring.records.size(), kCapacity);
+  EXPECT_EQ(ring.dropped_rounds, full.records.size() - kCapacity);
   EXPECT_FALSE(ring.complete());
-  // The ring holds exactly the last five records of the full journal...
-  const std::vector<obs::JournalRound> tail(full.records.end() - 5,
-                                            full.records.end());
-  EXPECT_EQ(ring.records, tail);
+  // The ring holds exactly the last five records of the full journal,
+  // byte for byte...
+  EXPECT_EQ(ring, last_records(full, kCapacity));
+  EXPECT_EQ(to_bytes(ring), to_bytes(last_records(full, kCapacity)));
   // ...while the run totals still cover the whole execution.
   EXPECT_EQ(ring.total_messages, stats.total_messages);
   EXPECT_EQ(ring.total_bits, stats.total_bits);
   EXPECT_EQ(ring.crashes, stats.crashes);
+
+  // Reading data() mid-run unrotates in place; recording then resumes on
+  // the reordered storage and the next read must still be exact.
+  obs::Journal bounded(kCapacity);
+  obs::Journal unbounded;
+  for (const auto& [from, to] : {std::pair<Round, Round>{1, 13}, {14, 24}}) {
+    feed_rounds(bounded, from, to);
+    feed_rounds(unbounded, from, to);
+    EXPECT_EQ(to_bytes(bounded.data()),
+              to_bytes(last_records(unbounded.data(), kCapacity)))
+        << "after round " << to;
+  }
 }
 
 TEST(Journal, TotalsMatchEngineStats) {
@@ -170,17 +211,22 @@ TEST(Journal, TruncatedAndCorruptInputsFailCleanly) {
   const std::string bytes = to_bytes(crash_journal(41, false, false));
   obs::JournalData out;
   std::string error;
-  for (std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{9},
-                          bytes.size() / 2, bytes.size() - 1}) {
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::istringstream in(bytes.substr(0, cut));
+    error.clear();
     EXPECT_FALSE(obs::read_journal_binary(in, &out, &error)) << cut;
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(error.empty()) << cut;
   }
   std::string wrong_magic = bytes;
   wrong_magic[0] = 'X';
   std::istringstream in(wrong_magic);
   EXPECT_FALSE(obs::read_journal_binary(in, &out, &error));
   EXPECT_NE(error.find("magic"), std::string::npos);
+  std::string bumped_version = bytes;
+  ++bumped_version[4];  // low byte of the u32 version after the magic
+  std::istringstream bumped(bumped_version);
+  EXPECT_FALSE(obs::read_journal_binary(bumped, &out, &error));
+  EXPECT_NE(error.find("version"), std::string::npos);
 }
 
 TEST(Journal, JsonlCarriesHeaderKindNamesAndEvents) {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crash/adversaries.h"
@@ -140,6 +141,10 @@ TEST(Telemetry, PerRoundCapBoundsBothSeries) {
   const auto a = run_with(&capped);
   const auto b = run_with(&full);
   ASSERT_EQ(a.stats, b.stats);
+  // The per-round series are fed by engine hooks that
+  // RENAMING_NO_TELEMETRY compiles out; the stats check above holds in
+  // both configs.
+  if constexpr (!obs::kTelemetryEnabled) return;
   ASSERT_GT(full.per_round_active_senders().size(), 4u)
       << "run too short to exercise the cap";
   EXPECT_EQ(capped.per_round_active_senders().size(), 4u);
@@ -269,24 +274,56 @@ TEST(ShardProfile, AggregatesPerPhaseTotalsAndDerivedMetrics) {
   EXPECT_EQ(deliver[0].wait_ns, 0);
 }
 
-TEST(ShardProfile, SampleRingDropsOldRoundsButKeepsTotals) {
-  obs::ShardProfile::Options opts;
-  opts.ring_capacity = 2;
-  obs::ShardProfile profile(opts);
-  profile.begin_run(10, 1);
-  for (Round r = 1; r <= 3; ++r) {
+std::string profile_bytes(const obs::ShardProfileData& data) {
+  std::ostringstream out;
+  obs::write_shard_profile_binary(out, data);
+  return out.str();
+}
+
+/// What a ring of `capacity` samples must hold: `full` cut to its last
+/// `capacity` samples, with the evicted rounds counted as dropped.
+obs::ShardProfileData last_samples(obs::ShardProfileData full,
+                                   std::size_t capacity) {
+  full.dropped_samples = full.samples.size() - capacity;
+  full.samples.erase(full.samples.begin(), full.samples.end() - capacity);
+  return full;
+}
+
+/// Feeds `profile` the rounds [from, to], one send window each whose
+/// timings vary with the round, so every sample is distinct.
+void feed_rounds(obs::ShardProfile& profile, Round from, Round to) {
+  for (Round r = from; r <= to; ++r) {
     profile.on_round_begin(r);
-    profile.note_shard(obs::ShardPhase::kSend, 0, 10, 0);
+    profile.note_shard(obs::ShardPhase::kSend, 0, 10 * r, r);
     profile.on_round_end(r);
   }
-  profile.end_run(3);
-  EXPECT_EQ(profile.data().samples.size(), 2u);
-  EXPECT_EQ(profile.data().dropped_samples, 1u);
-  EXPECT_EQ(profile.data().samples[0].round, 2u);
-  EXPECT_EQ(profile.data().samples[1].round, 3u);
+}
+
+TEST(ShardProfile, SampleRingDropsOldRoundsButKeepsTotals) {
+  obs::ShardProfile::Options opts;
+  opts.ring_capacity = 3;
+  obs::ShardProfile profile(opts);
+  opts.ring_capacity = 0;
+  obs::ShardProfile unbounded(opts);
+  profile.begin_run(10, 1);
+  unbounded.begin_run(10, 1);
+  // Read mid-run with the ring wrapped mid-lap, keep recording, read again:
+  // 17 rounds wrap a ring of 3 several times and stop mid-lap.
+  for (const auto& [from, to] : {std::pair<Round, Round>{1, 8}, {9, 17}}) {
+    feed_rounds(profile, from, to);
+    feed_rounds(unbounded, from, to);
+    EXPECT_EQ(profile_bytes(profile.data()),
+              profile_bytes(last_samples(unbounded.data(), 3)))
+        << "after round " << to;
+  }
+  profile.end_run(17);
+  EXPECT_EQ(profile.data().samples.size(), 3u);
+  EXPECT_EQ(profile.data().dropped_samples, 14u);
+  EXPECT_EQ(profile.data().samples[0].round, 15u);
+  EXPECT_EQ(profile.data().samples[2].round, 17u);
   const auto& send = profile.data()
       .totals[static_cast<std::size_t>(obs::ShardPhase::kSend)];
-  EXPECT_EQ(send[0].busy_ns, 30);  // totals cover all three rounds
+  EXPECT_EQ(send[0].busy_ns, 10 * 17 * 18 / 2);  // totals cover every round
 }
 
 TEST(ShardProfile, BinaryFormatRoundTrips) {
@@ -351,10 +388,18 @@ TEST(ShardProfile, BinaryReaderRejectsGarbageAndTruncation) {
   std::stringstream buffer;
   obs::write_shard_profile_binary(buffer, profile.data());
   const std::string bytes = buffer.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  error.clear();
-  EXPECT_FALSE(obs::read_shard_profile_binary(truncated, &data, &error));
-  EXPECT_FALSE(error.empty());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::stringstream truncated(bytes.substr(0, cut));
+    error.clear();
+    EXPECT_FALSE(obs::read_shard_profile_binary(truncated, &data, &error))
+        << cut;
+    EXPECT_FALSE(error.empty()) << cut;
+  }
+  std::string bumped_version = bytes;
+  ++bumped_version[4];  // low byte of the u32 version after the magic
+  std::stringstream bumped(bumped_version);
+  EXPECT_FALSE(obs::read_shard_profile_binary(bumped, &data, &error));
+  EXPECT_NE(error.find("version"), std::string::npos);
 }
 
 // --- the determinism contract, end to end --------------------------------
@@ -396,9 +441,13 @@ Artifacts run_crash(sim::parallel::ShardPlan plan, bool live) {
       live ? &progress : nullptr);
   std::ostringstream journal_out;
   obs::write_journal_binary(journal_out, journal.data());
-  if (live) {
-    EXPECT_EQ(profile.data().rounds, r.stats.rounds);
-    EXPECT_EQ(progress.sampled(), r.stats.rounds);
+  // Heartbeat samples and profile rounds are compiled out with the engine
+  // hooks under RENAMING_NO_TELEMETRY.
+  if constexpr (obs::kTelemetryEnabled) {
+    if (live) {
+      EXPECT_EQ(profile.data().rounds, r.stats.rounds);
+      EXPECT_EQ(progress.sampled(), r.stats.rounds);
+    }
   }
   return Artifacts{trace_out.str(), journal_out.str(), r.stats,
                    deterministic_projection(progress)};
@@ -427,7 +476,9 @@ TEST(LiveObservability, ProfiledRunIsByteIdenticalToBareRun) {
 
 TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossThreadCounts) {
   const Artifacts serial = run_crash({}, /*live=*/true);
-  ASSERT_FALSE(serial.progress_det.empty());
+  if constexpr (obs::kTelemetryEnabled) {
+    ASSERT_FALSE(serial.progress_det.empty());
+  }
   sim::parallel::WorkerPool pool(4);
   for (unsigned shards : {1u, 2u, 8u}) {
     sim::parallel::ShardPlan plan;
@@ -458,7 +509,9 @@ TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossEngineModes) {
     ModeGuard guard(sim::EngineMode::kSparse);
     sparse = run_crash({}, /*live=*/true).progress_det;
   }
-  ASSERT_FALSE(dense.empty());
+  if constexpr (obs::kTelemetryEnabled) {
+    ASSERT_FALSE(dense.empty());
+  }
   EXPECT_EQ(dense, sparse)
       << "the deterministic heartbeat projection is mode-dependent — a "
          "measured or layout-dependent field leaked into it";

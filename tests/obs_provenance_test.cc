@@ -223,8 +223,7 @@ TEST(Provenance, TruncatedAndCorruptedBytesAreRejected) {
   const std::string bytes = to_bytes(byz_prov(21));
   obs::ProvenanceData out;
   std::string error;
-  for (std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{7},
-                          bytes.size() / 2, bytes.size() - 1}) {
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::istringstream in(bytes.substr(0, cut));
     error.clear();
     EXPECT_FALSE(obs::read_provenance_binary(in, &out, &error))
@@ -237,6 +236,13 @@ TEST(Provenance, TruncatedAndCorruptedBytesAreRejected) {
   error.clear();
   EXPECT_FALSE(obs::read_provenance_binary(in, &out, &error))
       << "a wrong magic must be rejected";
+  std::string bumped_version = bytes;
+  ++bumped_version[4];  // low byte of the u32 version after the magic
+  std::istringstream bumped(bumped_version);
+  error.clear();
+  EXPECT_FALSE(obs::read_provenance_binary(bumped, &out, &error))
+      << "a newer version must be rejected";
+  EXPECT_NE(error.find("version"), std::string::npos);
 }
 
 // --- renaming_doctor why / blame -------------------------------------------
