@@ -245,7 +245,11 @@ int finish_observability(const Args& args, const obs::Telemetry* telemetry,
     p.committee_constant = committee_constant;
     p.phase_multiplier = phase_multiplier;
     p.slack = args.real("slack", 1.0);
-    audit = obs::audit_run(p, stats, telemetry);
+    // A -DRENAMING_NO_TELEMETRY build hands the auditor no ledgers rather
+    // than the empty ones the compiled-out hooks left behind, which would
+    // fail the double-entry check against the real RunStats.
+    audit = obs::audit_run(p, stats,
+                           obs::kTelemetryEnabled ? telemetry : nullptr);
     audited = true;
     if (!args.has("csv") || !audit.ok()) {
       std::printf("%s", audit.summary().c_str());

@@ -29,13 +29,6 @@ and suppression markers are tracked precisely per (line, rule).
                       or stats. Unordered containers are allowed for
                       lookup/membership only; iteration requires an ordered
                       container (or an explicit allow marker).
-  R5  header-hygiene  Every header under src/ must compile standalone
-                      (include-what-you-use smoke test with
-                      `g++ -fsyntax-only`). Results are memoized in a
-                      content-hash cache keyed on the header's transitive
-                      repo includes AND this script's own content hash (a
-                      rule change invalidates old verdicts), so incremental
-                      runs stay fast.
   R6  threading       The simulator is deterministic by design (ROADMAP
                       invariant; docs/PERFORMANCE.md): <thread>, <mutex>,
                       <shared_mutex>, <condition_variable>, <future>,
@@ -80,12 +73,15 @@ and suppression markers are tracked precisely per (line, rule).
                       nothing is itself an error: stale markers hide the
                       next real finding on that line. Markers naming an
                       unknown rule are reported too (typo protection).
-  R11 kind-coverage   Every kind in sim::kRegisteredKinds must have a
-                      wire-schema entry in sim/wire_schema.h AND a protocol
-                      dispatch declaration (an `enum class ... :
-                      sim::MsgKind` enumerator or a file-local `constexpr
-                      sim::MsgKind`) somewhere under src/ — and the schema
-                      table must not describe unregistered kinds.
+  R11 kind-coverage   Every row of sim::wire::kWireSchemas (the only list
+                      of shipped kinds) must have a protocol dispatch
+                      declaration (an `enum class ... : sim::MsgKind`
+                      enumerator or a file-local `constexpr sim::MsgKind`)
+                      somewhere under src/. The C++ compiler cannot see
+                      this: the baseline kinds are constants local to
+                      their .cc files. Table-vs-table coverage (names,
+                      phases, provenance events) is static_asserted in
+                      sim/wire_schema.h and obs/kind_registry.h.
   R12 full-width-alloc The engine's steady-state round loop must never
                       allocate full-width (O(n)) structures: that is what
                       keeps million-node sparse runs at O(active) memory
@@ -111,17 +107,11 @@ and suppression markers are tracked precisely per (line, rule).
                       from. (R1 already catches the `::now()` call sites;
                       this rule catches duration arithmetic, includes and
                       POSIX clocks that R1's pattern misses.)
-  R14 provenance-coverage  Every kind in sim::wire::kWireSchemas carries a
-                      decision payload, so every one of them must have an
-                      attribution row in obs::kProvenanceKinds
-                      (obs/provenance_kinds.h) — that table is how
-                      `renaming_doctor why` labels a cause hop, and a
-                      missing row silently degrades a causal chain to
-                      "unattributed". The converse holds too: a provenance
-                      row for a kind with no wire schema is dead vocabulary.
-                      Mirrors the three-way static_assert in
-                      obs/kind_registry.h so the gap is caught even in
-                      trees that lint before they compile.
+
+
+R5 (header self-containment) is checked by the build, not here: the
+header_hygiene target in tests/CMakeLists.txt compiles each src/ header
+as its own translation unit.
 
 Findings can be suppressed per line with `// lint:allow(<rule>)` where
 <rule> is one of: nondeterminism, bits-width, unordered-iteration,
@@ -135,13 +125,9 @@ Exit status: 0 if clean, 1 if any violation, 2 on usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
-import shutil
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 SOURCE_SUFFIXES = {".h", ".cc"}
@@ -947,9 +933,8 @@ def check_wire_schema(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R11: every registered kind has a schema entry and a dispatch declaration
+# R11: every wire-schema row has a dispatch declaration
 
-_REGISTRY_FILE = "sim/message_names.h"
 _SCHEMA_FILE = "sim/wire_schema.h"
 
 
@@ -960,102 +945,65 @@ def _int_literal(text: str) -> int | None:
         return None
 
 
-def _registered_kinds(f: SourceFile) -> tuple[dict[int, int], int]:
-    """Parses `kRegisteredKinds[] = { ... }`; returns ({kind: line}, line)."""
+def _schema_kinds(f: SourceFile) -> dict[int, int]:
+    """{kind: line} from kWireSchemas: the first number of each row."""
     sig = f.sig
     for i, t in enumerate(sig):
-        if t.text != "kRegisteredKinds":
+        if t.text != "kWireSchemas" or \
+                not seq_at(sig, i + 1, "[", "]", "=", "{"):
             continue
-        j = i + 1
-        while j < len(sig) and sig[j].text != "{":
-            if sig[j].text == ";":
-                break
-            j += 1
-        if j >= len(sig) or sig[j].text != "{":
-            continue
-        end = balanced_end(sig, j, "{", "}")
+        end = balanced_end(sig, i + 4, "{", "}")
         kinds = {}
-        for tk in sig[j + 1 : end - 1]:
-            if tk.kind == "num":
-                v = _int_literal(tk.text)
+        k = i + 5
+        while k < end - 1:
+            if sig[k].text == "{":
+                v = _int_literal(sig[k + 1].text)
                 if v is not None:
-                    kinds[v] = tk.line
-        return kinds, t.line
-    return {}, 0
+                    kinds[v] = sig[k + 1].line
+                k = balanced_end(sig, k, "{", "}")
+            else:
+                k += 1
+        return kinds
+    return {}
 
 
-def _schema_kinds(f: SourceFile) -> dict[int, int]:
-    """Parses kWireSchemas: the first number of each top-level {...} entry."""
-    return _table_kinds(f, "kWireSchemas")
-
-
-def _declared_kinds(files: list[SourceFile]) -> dict[int, str]:
+def _declared_kinds(files: list[SourceFile]) -> set[int]:
     """All kind values declared by a Tag enumerator or constexpr MsgKind."""
-    declared: dict[int, str] = {}
+    declared: set[int] = set()
     for f in files:
         sig = f.sig
-        for _, enumerators, (lo, hi) in _tag_enums(f):
-            for name, _, decl_idx in enumerators:
+        for _, enumerators, _ in _tag_enums(f):
+            for _, _, decl_idx in enumerators:
                 if decl_idx + 2 < len(sig) and \
-                        sig[decl_idx + 1].text == "=" and \
-                        sig[decl_idx + 2].kind == "num":
+                        sig[decl_idx + 1].text == "=":
                     v = _int_literal(sig[decl_idx + 2].text)
                     if v is not None:
-                        declared.setdefault(v, f"{f.rel} ({name})")
-        for name, _, val_idx in _constexpr_kinds(f):
-            if val_idx < len(sig) and sig[val_idx].kind == "num":
+                        declared.add(v)
+        for _, _, val_idx in _constexpr_kinds(f):
+            if val_idx < len(sig):
                 v = _int_literal(sig[val_idx].text)
                 if v is not None:
-                    declared.setdefault(v, f"{f.rel} ({name})")
+                    declared.add(v)
     return declared
 
 
 def check_kind_coverage(files: list[SourceFile]) -> list[Violation]:
-    registry_file = next((f for f in files if f.rel == _REGISTRY_FILE), None)
     schema_file = next((f for f in files if f.rel == _SCHEMA_FILE), None)
-    if registry_file is None:
-        return []  # nothing to pin against (fixture trees without a registry)
-    registered, registry_line = _registered_kinds(registry_file)
-    if not registered:
-        return []
-    out = []
-    schema = _schema_kinds(schema_file) if schema_file is not None else {}
+    if schema_file is None:
+        return []  # fixture trees without a schema table
     declared = _declared_kinds(files)
-    for kind, line in sorted(registered.items()):
-        if kind not in schema:
-            out.append(
-                Violation(
-                    "kind-coverage",
-                    registry_file.path,
-                    line,
-                    f"registered kind {kind} has no wire-schema entry in "
-                    f"{_SCHEMA_FILE} (kWireSchemas)",
-                )
-            )
-        if kind not in declared:
-            out.append(
-                Violation(
-                    "kind-coverage",
-                    registry_file.path,
-                    line,
-                    f"registered kind {kind} has no dispatch declaration "
-                    "anywhere under src/ (expected an `enum class ... : "
-                    "sim::MsgKind` enumerator or a `constexpr sim::MsgKind`)",
-                )
-            )
-    for kind, line in sorted(schema.items()):
-        if kind not in registered:
-            out.append(
-                Violation(
-                    "kind-coverage",
-                    schema_file.path,
-                    line,
-                    f"wire-schema entry for kind {kind} which is not in "
-                    f"sim::kRegisteredKinds ({_REGISTRY_FILE} line "
-                    f"{registry_line})",
-                )
-            )
-    return out
+    return [
+        Violation(
+            "kind-coverage",
+            schema_file.path,
+            line,
+            f"wire-schema kind {kind} has no dispatch declaration anywhere "
+            "under src/ (expected an `enum class ... : sim::MsgKind` "
+            "enumerator or a `constexpr sim::MsgKind`)",
+        )
+        for kind, line in sorted(_schema_kinds(schema_file).items())
+        if kind not in declared
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1066,81 +1014,6 @@ _ALLOC_MEMBERS = {"reserve", "resize", "assign"}
 _SETUP_BEGIN = "lint:engine-setup-begin"
 _SETUP_END = "lint:engine-setup-end"
 _CONTAINERS = {"vector", "deque", "valarray", "basic_string", "string"}
-
-
-def _table_kinds(f: SourceFile, table: str) -> dict[int, int]:
-    """First number of each top-level {...} entry of `table` (the kind)."""
-    sig = f.sig
-    for i, t in enumerate(sig):
-        if t.text != table:
-            continue
-        j = i + 1
-        while j < len(sig) and sig[j].text != "{":
-            if sig[j].text == ";":
-                break
-            j += 1
-        if j >= len(sig) or sig[j].text != "{":
-            continue
-        end = balanced_end(sig, j, "{", "}")
-        kinds = {}
-        k = j + 1
-        while k < end - 1:
-            if sig[k].text == "{":
-                entry_end = balanced_end(sig, k, "{", "}")
-                for tk in sig[k + 1 : entry_end]:
-                    if tk.kind == "num":
-                        v = _int_literal(tk.text)
-                        if v is not None:
-                            kinds[v] = tk.line
-                        break
-                k = entry_end
-            else:
-                k += 1
-        return kinds
-    return {}
-
-
-# ---------------------------------------------------------------------------
-# R14: every wire-schema kind has a provenance attribution entry
-
-_PROV_FILE = "obs/provenance_kinds.h"
-
-
-def check_provenance_coverage(files: list[SourceFile]) -> list[Violation]:
-    prov_file = next((f for f in files if f.rel == _PROV_FILE), None)
-    schema_file = next((f for f in files if f.rel == _SCHEMA_FILE), None)
-    if prov_file is None or schema_file is None:
-        return []  # fixture trees without both tables have nothing to pin
-    prov = _table_kinds(prov_file, "kProvenanceKinds")
-    schema = _schema_kinds(schema_file)
-    if not prov or not schema:
-        return []
-    out = []
-    for kind, line in sorted(schema.items()):
-        if kind not in prov:
-            out.append(
-                Violation(
-                    "provenance-coverage",
-                    schema_file.path,
-                    line,
-                    f"wire-schema kind {kind} has no attribution entry in "
-                    f"obs::kProvenanceKinds ({_PROV_FILE}) — renaming_doctor "
-                    "why cannot label its cause hops",
-                )
-            )
-    for kind, line in sorted(prov.items()):
-        if kind not in schema:
-            out.append(
-                Violation(
-                    "provenance-coverage",
-                    prov_file.path,
-                    line,
-                    f"provenance attribution for kind {kind} which has no "
-                    f"wire-schema entry in {_SCHEMA_FILE} (kWireSchemas) — "
-                    "dead vocabulary",
-                )
-            )
-    return out
 
 
 def _mentions_node_count(tokens: list[Token]) -> bool:
@@ -1264,119 +1137,6 @@ def check_wall_clock(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R5: headers are self-contained (with a content-hash cache)
-
-_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
-
-
-def _include_closure(files_by_rel: dict[str, SourceFile], rel: str,
-                     seen: set[str]) -> None:
-    if rel in seen:
-        return
-    seen.add(rel)
-    f = files_by_rel.get(rel)
-    if f is None:
-        return
-    for t in f.pp_tokens:
-        m = _INCLUDE_RE.search(t.text)
-        if m:
-            _include_closure(files_by_rel, m.group(1), seen)
-
-
-def _lint_engine_hash() -> str:
-    """Content hash of this script itself. Mixed into every cache key so a
-    rule-set or engine change invalidates stale verdicts instead of letting
-    the cache keep vouching for headers a newer rule would reject."""
-    cached = getattr(_lint_engine_hash, "_memo", None)
-    if cached is None:
-        try:
-            cached = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
-        except OSError:
-            cached = "unreadable-lint-engine"
-        _lint_engine_hash._memo = cached
-    return cached
-
-
-def _header_fingerprint(files_by_rel: dict[str, SourceFile], rel: str,
-                        compiler: str) -> str:
-    """Content hash over the header and its transitive repo includes, the
-    compiler identity, and the lint engine's own content hash — any change
-    to any of them re-triggers the syntax-only check."""
-    closure: set[str] = set()
-    _include_closure(files_by_rel, rel, closure)
-    h = hashlib.sha256()
-    h.update(compiler.encode())
-    h.update(_lint_engine_hash().encode())
-    for dep in sorted(closure):
-        f = files_by_rel.get(dep)
-        if f is not None:
-            h.update(dep.encode())
-            h.update(f.text.encode())
-    return h.hexdigest()
-
-
-def check_header_hygiene(files: list[SourceFile], src: Path, compiler: str,
-                         cache_path: Path | None) -> list[Violation]:
-    if shutil.which(compiler) is None:
-        print(
-            f"protocol_lint: warning: '{compiler}' not found; "
-            "skipping header self-containment checks",
-            file=sys.stderr,
-        )
-        return []
-    files_by_rel = {f.rel: f for f in files}
-    headers = sorted(
-        (f for f in files if f.path.suffix == ".h"), key=lambda f: f.rel
-    )
-
-    cache: dict[str, str] = {}
-    if cache_path is not None and cache_path.is_file():
-        try:
-            cache = json.loads(cache_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            cache = {}
-
-    violations = []
-    fresh: dict[str, str] = {}
-    with tempfile.TemporaryDirectory(prefix="protocol_lint_") as tmp:
-        tu = Path(tmp) / "tu.cc"
-        for header in headers:
-            fp = _header_fingerprint(files_by_rel, header.rel, compiler)
-            if cache.get(header.rel) == fp:
-                fresh[header.rel] = fp  # clean last time, unchanged since
-                continue
-            tu.write_text(f'#include "{header.rel}"\nint main() '
-                          "{ return 0; }\n")
-            proc = subprocess.run(
-                [compiler, "-std=c++20", "-fsyntax-only", "-Wall", "-Wextra",
-                 f"-I{src}", str(tu)],
-                capture_output=True,
-                text=True,
-            )
-            if proc.returncode != 0:
-                first = proc.stderr.strip().splitlines()
-                detail = first[0] if first else "compilation failed"
-                violations.append(
-                    Violation(
-                        "header-hygiene",
-                        header.path,
-                        1,
-                        f"header is not self-contained: {detail}",
-                    )
-                )
-            else:
-                fresh[header.rel] = fp  # only clean results are memoized
-    if cache_path is not None:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(json.dumps(fresh, indent=1, sort_keys=True))
-        except OSError as e:
-            print(f"protocol_lint: warning: cannot write cache: {e}",
-                  file=sys.stderr)
-    return violations
-
-
-# ---------------------------------------------------------------------------
 # Engine: run rule passes, apply suppressions, report stale markers (R10)
 
 RULES = (
@@ -1384,21 +1144,18 @@ RULES = (
     "msgkind",
     "bits-width",
     "unordered-iteration",
-    "header-hygiene",
     "threading",
     "dense-of-range",
     "raw-output",
     "wire-schema",
     "stale-allow",
     "kind-coverage",
-    "provenance-coverage",
     "full-width-alloc",
     "wall-clock",
 )
 
 
-def run_rules(files: list[SourceFile], src: Path, selected: list[str],
-              compiler: str, cache_path: Path | None):
+def run_rules(files: list[SourceFile], selected: list[str]):
     """Returns (violations, suppressed) after marker filtering + R10."""
     raw: list[Violation] = []
     if "nondeterminism" in selected:
@@ -1419,14 +1176,10 @@ def run_rules(files: list[SourceFile], src: Path, selected: list[str],
         raw += check_wire_schema(files)
     if "kind-coverage" in selected:
         raw += check_kind_coverage(files)
-    if "provenance-coverage" in selected:
-        raw += check_provenance_coverage(files)
     if "full-width-alloc" in selected:
         raw += check_full_width_alloc(files)
     if "wall-clock" in selected:
         raw += check_wall_clock(files)
-    if "header-hygiene" in selected:
-        raw += check_header_hygiene(files, src, compiler, cache_path)
 
     files_by_path = {f.path: f for f in files}
     violations: list[Violation] = []
@@ -1489,27 +1242,10 @@ def main() -> int:
         + " (default: all)",
     )
     parser.add_argument(
-        "--compiler",
-        default="g++",
-        help="compiler used for the header self-containment smoke test",
-    )
-    parser.add_argument(
         "--report",
         type=Path,
         default=None,
         help="write a JSON report (violations + suppressions) to this path",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the header-hygiene content-hash cache",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help="header-hygiene cache file "
-        "(default: <root>/build/.protocol_lint_cache.json)",
     )
     args = parser.parse_args()
 
@@ -1531,17 +1267,10 @@ def main() -> int:
             )
             return 2
 
-    cache_path = None
-    if not args.no_cache:
-        cache_path = args.cache or (
-            args.root / "build" / ".protocol_lint_cache.json"
-        )
-
     files = [SourceFile(p, src) for p in sorted(src.rglob("*"))
              if p.suffix in SOURCE_SUFFIXES and p.is_file()]
 
-    violations, suppressed = run_rules(files, src, selected, args.compiler,
-                                       cache_path)
+    violations, suppressed = run_rules(files, selected)
 
     for v in violations:
         print(v)

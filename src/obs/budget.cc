@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "sim/message_names.h"
 #include "sim/wire_schema.h"
 
 namespace renaming::obs {
@@ -132,9 +131,11 @@ struct Auditor {
     const sim::wire::WireContext ctx = wire_ctx(p);
     for (const KindTotals& k : *kinds) {
       if (k.messages == 0) continue;
-      const sim::wire::WireSchema* s = sim::wire::schema_of_or_null(k.kind);
-      if (s == nullptr || s->variable) continue;
-      exact(std::string("wire-schema:") + s->name + " bits",
+      const std::size_t i = sim::wire::schema_index(k.kind);
+      if (i == sim::wire::kWireSchemaCount) continue;
+      const sim::wire::WireSchema& s = sim::wire::kWireSchemas[i];
+      if (s.variable) continue;
+      exact(std::string("wire-schema:") + s.name + " bits",
             static_cast<double>(k.bits),
             static_cast<double>(k.messages) *
                 static_cast<double>(sim::wire::wire_bits(k.kind, ctx)));
@@ -315,7 +316,8 @@ BudgetReport audit_run(const BudgetParams& params, const sim::RunStats& stats,
     phases[i] = telemetry->phase(static_cast<PhaseId>(i));
   }
   std::vector<KindTotals> kinds;
-  for (sim::MsgKind k : sim::kRegisteredKinds) {
+  for (const sim::wire::WireSchema& s : sim::wire::kWireSchemas) {
+    const sim::MsgKind k = s.kind;
     if (telemetry->kind_messages(k) == 0) continue;
     kinds.push_back({k, telemetry->kind_messages(k), telemetry->kind_bits(k)});
   }

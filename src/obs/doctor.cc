@@ -7,7 +7,7 @@
 #include "common/check.h"
 #include "hashing/digest.h"
 #include "obs/kind_registry.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::obs {
 

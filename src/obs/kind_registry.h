@@ -1,4 +1,5 @@
-// Canonical MsgKind -> PhaseId attribution table, compile-time checked.
+// Canonical per-kind attribution: which protocol phase a wire kind's
+// traffic books to, and which provenance event its deliveries trigger.
 //
 // Two consumers need the kind -> phase mapping without a live Telemetry
 // object: the flight-recorder journal (obs/journal.h) must attribute
@@ -9,142 +10,97 @@
 // point loads it into its live Telemetry (obs/run_observers.h), and
 // tests/obs_journal_test.cc pins that journal and telemetry ledgers agree.
 //
-// Exhaustiveness guard: kShippedKinds lists every wire kind a shipped
-// protocol emits. The static_asserts below fail the build if any of them
-// lacks a canonical name (sim/message_names.h) or a phase attribution —
-// which is exactly the condition under which the `unattributed` ledger
-// could silently grow on a shipped protocol.
+// The table is row-parallel with sim::wire::kWireSchemas, the only list of
+// shipped kinds (sim/ cannot include obs/, so the attribution lives here).
+// One static_assert below pins the same kinds in the same order and a real
+// phase on every row, so a kind cannot ship without an attribution and the
+// `unattributed` ledger stays 0 on shipped protocols.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
+#include "common/check.h"
 #include "obs/phase.h"
 #include "obs/provenance_kinds.h"
 #include "sim/message.h"
-#include "sim/message_names.h"
 #include "sim/wire_schema.h"
 
 namespace renaming::obs {
 
-/// Canonical phase attribution for `kind`. Unknown kinds — bench-local or
-/// adversarial — fall to kUnattributed, exactly as an unregistered kind
-/// does in Telemetry.
-constexpr PhaseId canonical_phase(sim::MsgKind kind) {
-  switch (kind) {
-    // crash/crash_renaming.h (Tag)
-    case 1:  return PhaseId::kCommitteeAnnounce;
-    case 2:  return PhaseId::kStatusReport;
-    case 3:  return PhaseId::kCommitteeResponse;
-    // byzantine/byz_renaming.h (Tag)
-    case 10: return PhaseId::kCommitteeElection;
-    case 11: return PhaseId::kIdentityAggregation;
-    case 12: return PhaseId::kFingerprintValidation;
-    case 13: return PhaseId::kConsensus;
-    case 14: return PhaseId::kDiffExchange;
-    case 15: return PhaseId::kDistribution;
-    case 16: return PhaseId::kFullVectorExchange;
-    // baselines (Table 1): single all-to-all exchange phase each.
-    case 30: case 31:                      // naive, cht
-    case 40: case 41: case 42:             // obg
-    case 45:                               // early-deciding
-    case 50: case 51:                      // claiming
-      return PhaseId::kBaselineExchange;
-    default:
-      return PhaseId::kUnattributed;
-  }
-}
-
-/// Every wire kind a shipped protocol emits (the domain of the guard
-/// below). Bench- and test-local kinds are deliberately absent.
-inline constexpr sim::MsgKind kShippedKinds[] = {
-    1, 2, 3, 10, 11, 12, 13, 14, 15, 16, 30, 31, 40, 41, 42, 45, 50, 51,
+struct KindAttribution {
+  sim::MsgKind kind;
+  PhaseId phase;
+  ProvEventKind event;  ///< event its deliveries canonically trigger
 };
-inline constexpr std::size_t kShippedKindCount =
-    sizeof(kShippedKinds) / sizeof(kShippedKinds[0]);
+
+/// One row per kWireSchemas row, in the same order.
+inline constexpr KindAttribution kKindAttributions[] = {
+    // crash/crash_renaming.h (Tag)
+    {1, PhaseId::kCommitteeAnnounce, ProvEventKind::kCommitteeVote},
+    {2, PhaseId::kStatusReport, ProvEventKind::kCommitteeVote},
+    {3, PhaseId::kCommitteeResponse, ProvEventKind::kNameProposal},
+    // byzantine/byz_renaming.h (Tag)
+    {10, PhaseId::kCommitteeElection, ProvEventKind::kCommitteeVote},
+    {11, PhaseId::kIdentityAggregation, ProvEventKind::kNameProposal},
+    {12, PhaseId::kFingerprintValidation, ProvEventKind::kPhaseKingVerdict},
+    {13, PhaseId::kConsensus, ProvEventKind::kPhaseKingVerdict},
+    {14, PhaseId::kDiffExchange, ProvEventKind::kPhaseKingVerdict},
+    {15, PhaseId::kDistribution, ProvEventKind::kNameClaim},
+    {16, PhaseId::kFullVectorExchange, ProvEventKind::kNameProposal},
+    // baselines (Table 1): single all-to-all exchange phase each.
+    {30, PhaseId::kBaselineExchange, ProvEventKind::kNameClaim},     // naive
+    {31, PhaseId::kBaselineExchange, ProvEventKind::kNameProposal},  // cht
+    {40, PhaseId::kBaselineExchange, ProvEventKind::kNameProposal},  // obg
+    {41, PhaseId::kBaselineExchange, ProvEventKind::kNameProposal},
+    {42, PhaseId::kBaselineExchange, ProvEventKind::kNameProposal},
+    {45, PhaseId::kBaselineExchange, ProvEventKind::kNameClaim},     // early
+    {50, PhaseId::kBaselineExchange, ProvEventKind::kNameClaim},  // claiming
+    {51, PhaseId::kBaselineExchange, ProvEventKind::kConflictRetry},
+};
 
 namespace detail {
 
-constexpr bool all_shipped_kinds_named() {
-  for (sim::MsgKind k : kShippedKinds) {
-    if (sim::message_name_or_null(k) == nullptr) return false;
-  }
-  return true;
-}
-
-constexpr bool all_shipped_kinds_attributed() {
-  for (sim::MsgKind k : kShippedKinds) {
-    if (canonical_phase(k) == PhaseId::kUnattributed) return false;
-  }
-  return true;
-}
-
-constexpr bool no_phase_outside_shipped_kinds() {
-  // The converse direction: a kind with a phase attribution must be a
-  // shipped kind — canonical_phase cannot quietly outgrow the guard list.
-  for (unsigned k = 0; k < 65536; ++k) {
-    if (canonical_phase(static_cast<sim::MsgKind>(k)) ==
-        PhaseId::kUnattributed) {
-      continue;
-    }
-    bool shipped = false;
-    for (sim::MsgKind s : kShippedKinds) shipped = shipped || (s == k);
-    if (!shipped) return false;
-  }
-  return true;
-}
-
-// Three-way shipped ↔ wire-schema ↔ provenance coverage. Every kind in
-// sim::kWireSchemas carries a decision payload, so each must have a row in
-// obs::kProvenanceKinds (the attribution `renaming_doctor why` renders), and
-// the provenance table must not outgrow the shipped set. Together with the
-// schema-coverage guard in sim/wire_schema.h this pins the three tables to
-// the same domain.
-constexpr bool every_wire_schema_kind_has_provenance() {
-  for (std::size_t i = 0; i < sim::wire::kWireSchemaCount; ++i) {
-    if (prov_entry_of_or_null(sim::wire::kWireSchemas[i].kind) == nullptr) {
+/// The attribution rows list exactly the schema kinds, in order, each with
+/// a real phase. Takes both tables so tests/wire_schema_test.cc can prove
+/// it rejects planted defects (a missing row, an extra row, a swap).
+constexpr bool attributions_match_schemas(
+    std::span<const KindAttribution> rows,
+    std::span<const sim::wire::WireSchema> schemas) {
+  if (rows.size() != schemas.size()) return false;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].kind != schemas[i].kind ||
+        rows[i].phase == PhaseId::kUnattributed) {
       return false;
     }
   }
   return true;
 }
 
-constexpr bool every_provenance_kind_is_shipped() {
-  for (std::size_t i = 0; i < kProvenanceKindCount; ++i) {
-    bool shipped = false;
-    for (sim::MsgKind s : kShippedKinds) {
-      shipped = shipped || (s == kProvenanceKinds[i].kind);
-    }
-    if (!shipped) return false;
-  }
-  return true;
-}
-
-constexpr bool every_shipped_kind_has_provenance() {
-  for (sim::MsgKind k : kShippedKinds) {
-    if (prov_entry_of_or_null(k) == nullptr) return false;
-  }
-  return true;
-}
-
 }  // namespace detail
 
-static_assert(detail::every_wire_schema_kind_has_provenance(),
-              "every kind in sim::kWireSchemas carries a decision payload "
-              "and needs a row in obs::kProvenanceKinds "
-              "(obs/provenance_kinds.h)");
-static_assert(detail::every_provenance_kind_is_shipped(),
-              "obs::kProvenanceKinds lists a kind missing from "
-              "kShippedKinds");
-static_assert(detail::every_shipped_kind_has_provenance(),
-              "every shipped MsgKind needs a provenance attribution row in "
-              "obs::kProvenanceKinds");
+static_assert(detail::attributions_match_schemas(kKindAttributions,
+                                                 sim::wire::kWireSchemas),
+              "obs::kKindAttributions must list the kinds of "
+              "sim::wire::kWireSchemas in the same order, each with a "
+              "canonical PhaseId");
 
-static_assert(detail::all_shipped_kinds_named(),
-              "every shipped MsgKind needs a name in sim/message_names.h");
-static_assert(detail::all_shipped_kinds_attributed(),
-              "every shipped MsgKind needs a canonical PhaseId attribution "
-              "(the unattributed ledger must stay 0 on shipped protocols)");
-static_assert(detail::no_phase_outside_shipped_kinds(),
-              "canonical_phase attributes a kind missing from kShippedKinds");
+/// Canonical phase attribution for `kind`. Unknown kinds — bench-local or
+/// adversarial — fall to kUnattributed, exactly as an unregistered kind
+/// does in Telemetry.
+constexpr PhaseId canonical_phase(sim::MsgKind kind) {
+  const std::size_t i = sim::wire::schema_index(kind);
+  return i < sim::wire::kWireSchemaCount ? kKindAttributions[i].phase
+                                         : PhaseId::kUnattributed;
+}
+
+/// Provenance event `kind`'s deliveries canonically trigger; `kind` must be
+/// a shipped kind.
+constexpr ProvEventKind canonical_prov_event(sim::MsgKind kind) {
+  const std::size_t i = sim::wire::schema_index(kind);
+  RENAMING_CHECK(i < sim::wire::kWireSchemaCount,
+                 "provenance: unregistered message kind");
+  return kKindAttributions[i].event;
+}
 
 }  // namespace renaming::obs

@@ -5,7 +5,7 @@
 #include <ostream>
 
 #include "obs/codec.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::obs {
 

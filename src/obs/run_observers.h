@@ -34,8 +34,8 @@ struct RunObservers {
   void start(const std::string& algorithm, NodeIndex n,
              std::uint64_t f) const {
     if (telemetry != nullptr) {
-      for (sim::MsgKind kind : kShippedKinds) {
-        telemetry->map_kind(kind, canonical_phase(kind));
+      for (const KindAttribution& row : kKindAttributions) {
+        telemetry->map_kind(row.kind, row.phase);
       }
       telemetry->set_run_info(algorithm, n, f);
     }

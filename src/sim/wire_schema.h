@@ -1,5 +1,5 @@
-// Central declarative wire schema: the single source of truth for every
-// shipped message kind's bit layout.
+// Central declarative wire schema: the only list of shipped message kinds
+// and the single source of truth for each one's name and bit layout.
 //
 // The paper's headline claim is subquadratic *bits* (Theorems 1.2/1.3), so
 // each Message declares its wire size and the engine sums the declarations
@@ -12,11 +12,14 @@
 //
 //   * protocols obtain widths ONLY through wire_bits()/make_message()
 //     (enforced statically by lint rule R9, scripts/protocol_lint.py);
-//   * the registry static_asserts below pin the table against
-//     sim/message_names.h, so a kind cannot ship without a schema;
+//   * message_name() reads the same rows, so a kind cannot have a name
+//     without a schema or a schema without a name; the obs layer's
+//     row-parallel attribution table (obs/kind_registry.h) is
+//     static_asserted to list the same kinds in the same order;
 //   * BudgetAuditor cross-checks each honest run's per-kind emitted bits
 //     against the closed forms at runtime (obs/budget.h), and
-//     tests/wire_schema_test.cc pins the equivalence per protocol.
+//     tests/wire_schema_test.cc pins every row and the equivalence per
+//     protocol.
 //
 // Fixed vs variable kinds: most messages have a fixed field list whose
 // widths depend only on the run context. The four bulk kinds (VECTOR,
@@ -27,15 +30,17 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
 #include "sim/message.h"
-#include "sim/message_names.h"
 
 namespace renaming::sim::wire {
 
@@ -66,7 +71,7 @@ inline constexpr std::size_t kMaxWireFields = 5;
 /// field describes the per-element width of the shipped set.
 struct WireSchema {
   MsgKind kind = 0;
-  const char* name = nullptr;  ///< must match sim::message_name(kind)
+  const char* name = nullptr;  ///< canonical name (sim::message_name)
   bool variable = false;
   std::size_t field_count = 0;
   WireField fields[kMaxWireFields]{};
@@ -75,8 +80,12 @@ struct WireSchema {
 /// Bulk payloads clamp here so the width fits Message::bits (uint32_t).
 inline constexpr std::uint32_t kVariableBitsCap = 1u << 30;
 
-/// The schema table, ascending by kind; one entry per registered kind
-/// (static_asserts below pin both directions against kRegisteredKinds).
+/// Every wire kind a shipped protocol emits, ascending by kind, one row per
+/// kind. Kinds are unique per protocol and every protocol draws from a
+/// disjoint range (crash 1-3, byzantine 10-16, baselines 30+). Bench- and
+/// test-local kinds (e.g. bench_engine's ping) are deliberately absent.
+/// tests/trace_test.cc pins the kinds against the protocol Tag enums, and
+/// lint rule R11 checks each row has a dispatch declaration under src/.
 inline constexpr WireSchema kWireSchemas[] = {
     // crash/crash_renaming.h (Tag) — Figure 1-3 message formats.
     {1, "COMMITTEE", false, 1, {{"id", Width::kLogNamespace}}},
@@ -125,22 +134,25 @@ inline constexpr WireSchema kWireSchemas[] = {
     {51, "OWNED", false, 2,
      {{"id", Width::kLogNamespace}, {"slot", Width::kLogN}}},
 };
-inline constexpr std::size_t kWireSchemaCount =
-    sizeof(kWireSchemas) / sizeof(kWireSchemas[0]);
+inline constexpr std::size_t kWireSchemaCount = std::size(kWireSchemas);
 
-/// Schema lookup; nullptr for unregistered (bench-/test-local) kinds.
-constexpr const WireSchema* schema_of_or_null(MsgKind kind) {
-  for (const WireSchema& s : kWireSchemas) {
-    if (s.kind == kind) return &s;
+/// Row of `kind` in kWireSchemas, or kWireSchemaCount for unregistered
+/// (bench-/test-local) kinds. An index, not a pointer: g++ 12 with
+/// -fsanitize=undefined cannot constant-evaluate a comparison of a table
+/// address with nullptr, and this lookup runs inside static_asserts.
+constexpr std::size_t schema_index(MsgKind kind) {
+  for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
+    if (kWireSchemas[i].kind == kind) return i;
   }
-  return nullptr;
+  return kWireSchemaCount;
 }
 
 /// Schema lookup for kinds that must be registered.
 constexpr const WireSchema& schema_of(MsgKind kind) {
-  const WireSchema* s = schema_of_or_null(kind);
-  RENAMING_CHECK(s != nullptr, "wire_schema: unregistered message kind");
-  return *s;
+  const std::size_t i = schema_index(kind);
+  RENAMING_CHECK(i < kWireSchemaCount,
+                 "wire_schema: unregistered message kind");
+  return kWireSchemas[i];
 }
 
 /// Closed-form width of one field.
@@ -219,40 +231,19 @@ inline constexpr std::uint32_t kForgedNewProbeBits = 16;
 /// to show the authentication layer is load-bearing.
 inline constexpr std::uint32_t kSpoofProbeBits = 32;
 
-// --- exhaustiveness guards -------------------------------------------------
+// --- table guards ---------------------------------------------------------
+// Each checker takes its table as a parameter, so tests/wire_schema_test.cc
+// can prove it rejects planted defects.
 
 namespace detail {
 
-constexpr bool streq(const char* a, const char* b) {
-  if (a == nullptr || b == nullptr) return a == b;
-  while (*a != '\0' && *a == *b) {
-    ++a;
-    ++b;
-  }
-  return *a == *b;
-}
-
-constexpr bool every_registered_kind_has_schema() {
-  for (MsgKind k : kRegisteredKinds) {
-    if (schema_of_or_null(k) == nullptr) return false;
-  }
-  return true;
-}
-
-constexpr bool every_schema_kind_is_registered_and_named() {
-  for (const WireSchema& s : kWireSchemas) {
-    bool registered = false;
-    for (MsgKind k : kRegisteredKinds) registered = registered || (k == s.kind);
-    if (!registered) return false;
-    if (!streq(s.name, message_name(s.kind))) return false;
-  }
-  return true;
-}
-
-constexpr bool schemas_sorted_and_well_formed() {
-  for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
-    const WireSchema& s = kWireSchemas[i];
-    if (i > 0 && kWireSchemas[i - 1].kind >= s.kind) return false;
+/// Ascending unique kinds, a name per row, 1..kMaxWireFields named fields,
+/// and exactly one (per-element) field for variable kinds.
+constexpr bool schemas_well_formed(std::span<const WireSchema> table) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const WireSchema& s = table[i];
+    if (i > 0 && table[i - 1].kind >= s.kind) return false;
+    if (s.name == nullptr) return false;
     if (s.field_count == 0 || s.field_count > kMaxWireFields) return false;
     if (s.variable && s.field_count != 1) return false;
     for (std::size_t j = 0; j < s.field_count; ++j) {
@@ -262,35 +253,43 @@ constexpr bool schemas_sorted_and_well_formed() {
   return true;
 }
 
-constexpr bool control_kinds_share_layout() {
-  // ELECT, ID_REPORT, CONSENSUS and DIFF are one wire family (the byz
-  // control message); their widths must never drift apart, because the
-  // host protocol reuses one cached width for all four.
-  constexpr MsgKind family[] = {10, 11, 13, 14};
-  const WireSchema& ref = schema_of(family[0]);
-  for (MsgKind k : family) {
-    const WireSchema& s = schema_of(k);
-    if (s.variable != ref.variable || s.field_count != ref.field_count) {
-      return false;
-    }
-    for (std::size_t j = 0; j < s.field_count; ++j) {
-      if (s.fields[j].width != ref.fields[j].width) return false;
-    }
+constexpr bool same_layout(const WireSchema& a, const WireSchema& b) {
+  if (a.variable != b.variable || a.field_count != b.field_count) {
+    return false;
+  }
+  for (std::size_t j = 0; j < a.field_count; ++j) {
+    if (a.fields[j].width != b.fields[j].width) return false;
   }
   return true;
 }
 
+/// ELECT, ID_REPORT, CONSENSUS and DIFF are one wire family (the byz
+/// control message); their widths must never drift apart, because the host
+/// protocol reuses one cached width for all four.
+constexpr bool control_kinds_share_layout(std::span<const WireSchema> table) {
+  constexpr MsgKind kFamily[] = {10, 11, 13, 14};
+  std::size_t found = 0;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (std::find(std::begin(kFamily), std::end(kFamily), table[i].kind) ==
+        std::end(kFamily)) {
+      continue;
+    }
+    if (found++ == 0) {
+      first = i;
+    } else if (!same_layout(table[first], table[i])) {
+      return false;
+    }
+  }
+  return found == std::size(kFamily);
+}
+
 }  // namespace detail
 
-static_assert(detail::every_registered_kind_has_schema(),
-              "every kind in sim::kRegisteredKinds needs a wire schema");
-static_assert(detail::every_schema_kind_is_registered_and_named(),
-              "every wire schema must describe a registered kind and carry "
-              "its canonical sim/message_names.h name");
-static_assert(detail::schemas_sorted_and_well_formed(),
-              "kWireSchemas must be ascending by kind with well-formed "
-              "field lists");
-static_assert(detail::control_kinds_share_layout(),
+static_assert(detail::schemas_well_formed(kWireSchemas),
+              "kWireSchemas must be ascending by kind with a name and "
+              "well-formed field list per row");
+static_assert(detail::control_kinds_share_layout(kWireSchemas),
               "the byz control kinds (ELECT/ID_REPORT/CONSENSUS/DIFF) must "
               "share one field layout");
 
@@ -313,3 +312,14 @@ static_assert(wire_bits(31, detail::kPinCtx) == 26);   // logN + 2 logn
 static_assert(wire_bits(50, detail::kPinCtx) == 20);   // logN + logn
 
 }  // namespace renaming::sim::wire
+
+namespace renaming::sim {
+
+/// Stable wire-protocol name for `kind` (its kWireSchemas row); kinds
+/// outside the table render as "?" rather than failing.
+constexpr const char* message_name(MsgKind kind) {
+  const std::size_t i = wire::schema_index(kind);
+  return i < wire::kWireSchemaCount ? wire::kWireSchemas[i].name : "?";
+}
+
+}  // namespace renaming::sim

@@ -1,5 +1,7 @@
 #pragma once
-#include "sim/message_names.h"
+namespace sim {
+using MsgKind = unsigned short;
+}  // namespace sim
 namespace sim::wire {
 struct WireSchema { MsgKind kind; const char* name; };
 inline constexpr WireSchema kWireSchemas[] = {

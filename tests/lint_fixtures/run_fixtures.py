@@ -33,14 +33,12 @@ CASES = {
     "msgkind": "msgkind",
     "bits-width": "bits-width",
     "unordered-iteration": "unordered-iteration",
-    "header-hygiene": "header-hygiene",
     "threading": "threading",
     "dense-of-range": "dense-of-range",
     "raw-output": "raw-output",
     "wire-schema": "wire-schema",
     "stale-allow": "nondeterminism,stale-allow",
     "kind-coverage": "kind-coverage",
-    "provenance-coverage": "provenance-coverage",
     "full-width-alloc": "full-width-alloc",
     "wall-clock": "wall-clock",
 }
@@ -48,8 +46,7 @@ CASES = {
 
 def run_lint(root: Path, rules: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(LINT), "--root", str(root), "--rules", rules,
-         "--no-cache"],
+        [sys.executable, str(LINT), "--root", str(root), "--rules", rules],
         capture_output=True,
         text=True,
     )

@@ -12,8 +12,8 @@
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
 #include "sim/engine.h"
-#include "sim/message_names.h"
 #include "sim/trace.h"
+#include "sim/wire_schema.h"
 
 namespace renaming {
 namespace {
@@ -309,8 +309,8 @@ TEST(TraceContract, TracedRunMatchesSharedInboxFastPathStats) {
 }
 
 TEST(MessageNames, CanonicalTableMatchesProtocolTags) {
-  // The literal switch in sim/message_names.h deliberately avoids protocol
-  // includes; this pin keeps it honest against the real Tag enums.
+  // sim/wire_schema.h writes the kinds as literals to avoid protocol
+  // includes; this pin keeps them honest against the real Tag enums.
   using sim::message_name;
   EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(crash::Tag::kCommittee)),
                "COMMITTEE");
@@ -359,7 +359,7 @@ TEST(JsonlTrace, EmitsWellFormedLines) {
     round_ends += line.find("\"event\":\"round_end\"") != std::string::npos;
     if (line.find("\"event\":\"message\"") != std::string::npos) {
       ++messages;
-      // Every message event names its kind canonically (message_names.h).
+      // Every message event names its kind canonically (sim::message_name).
       EXPECT_NE(line.find("\"kind_name\":\""), std::string::npos) << line;
     }
   }
